@@ -209,9 +209,9 @@ fn churn(units: u64, rounds: u64) -> Vec<ProjEvent> {
 }
 
 /// Sharded fold scaling: drain one pre-produced topic with 1/2/4 fold
-/// workers over disjoint partition groups, `publish_every` 16 (the cadence
-/// contract is per-event, so each shard clones 1/Nth-sized tables at the
-/// same cadence — the dominant cost drops N-fold even on one core).
+/// workers over disjoint partition groups, `publish_every` 16. A publish
+/// copies only the row chunks written since the previous one, so the
+/// shards split the event work and scale only with free cores.
 fn bench_shard_fold(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_shard_fold");
     group.sample_size(10);

@@ -1,6 +1,7 @@
-//! Read-plane regression guard: re-measures the two load-bearing query-path
-//! costs — the projection dashboard read and the materializer fold-apply —
-//! and fails (exit 1) if either regressed more than 2× against the committed
+//! Read-plane regression guard: re-measures the load-bearing query-path
+//! costs — the projection dashboard read, the materializer fold-apply, and
+//! a single-shard drain that publishes every 16 events (the publish path) —
+//! and fails (exit 1) if any regressed more than 2× against the committed
 //! `BENCH_query.json` baseline.
 //!
 //! The criterion shim prints plain text, so the guard does not parse bench
@@ -20,7 +21,7 @@ use pilot_core::state::UnitState;
 use pilot_core::thread::{kernel_fn, TaskOutput, ThreadPilotService};
 use pilot_core::WallClock;
 use pilot_miniapp::json;
-use pilot_query::{BrokerSink, Materializer, QueryTables};
+use pilot_query::{publish_events, BrokerSink, Materializer, QueryTables, ShardedMaterializer};
 use pilot_sim::SimDuration;
 use pilot_streaming::Broker;
 use std::hint::black_box;
@@ -146,9 +147,61 @@ fn main() {
         black_box(t.digest());
     });
 
+    // --- publish path: the committed query_shard_fold/catch_up/1 workload -
+    // 4096 units × 3 rounds of state + metric events, one fold shard
+    // publishing every 16 events. Only the drain is timed, as in the bench.
+    let churn: Vec<ProjEvent> = (0..3u64)
+        .flat_map(|r| {
+            (0..4096u64).flat_map(move |u| {
+                [
+                    ProjEvent::Unit {
+                        unit: UnitId(u),
+                        state: if r % 2 == 0 {
+                            UnitState::Running
+                        } else {
+                            UnitState::Done
+                        },
+                        pilot: Some(PilotId(u % 4)),
+                        t_s: r as f64,
+                    },
+                    ProjEvent::UnitMetric {
+                        unit: UnitId(u),
+                        wait_s: 0.1,
+                        exec_s: 0.5,
+                        t_s: r as f64,
+                    },
+                ]
+            })
+        })
+        .collect();
+    let broker = Arc::new(Broker::new());
+    broker
+        .create_topic("guard.fold", 4, usize::MAX / 2)
+        // lint: allow(panic, reason = "fresh broker, fresh topic")
+        .expect("fold topic");
+    for chunk in churn.chunks(512) {
+        publish_events(&broker, "guard.fold", chunk)
+            // lint: allow(panic, reason = "the topic was created above")
+            .expect("append churn chunk");
+    }
+    let mut publish_us = f64::MAX;
+    for _ in 0..5 {
+        let mut sm = ShardedMaterializer::bootstrap(Arc::clone(&broker), "guard.fold", 1)
+            // lint: allow(panic, reason = "the topic was created above")
+            .expect("bootstrap");
+        sm.set_publish_every(16);
+        publish_us = publish_us.min(time_us(1, 1, || {
+            sm.catch_up()
+                // lint: allow(panic, reason = "broker and topic are alive for the whole run")
+                .expect("shard drain");
+        }));
+        black_box(sm.events_applied());
+    }
+
     let checks = [
         ("query_dashboard/projection/2000", dash_us),
         ("query_fold/apply", fold_us),
+        ("query_shard_fold/catch_up/1", publish_us),
     ];
     let mut failed = false;
     for (id, measured) in checks {

@@ -306,13 +306,14 @@ fn produce_chunked(broker: &Broker, topic: &str, evs: &[ProjEvent]) {
 }
 
 /// Time one sharded fold of the whole topic: one worker thread per shard,
-/// each draining its own partition group. Returns `(wall_s, merged tables)`.
+/// each draining its own partition group. Returns `(wall_s, merged tables,
+/// row chunks copied by all shards)`.
 fn timed_shard_fold(
     broker: &Arc<Broker>,
     topic: &str,
     shards: usize,
     publish_every: u64,
-) -> (f64, pilot_query::QueryTables) {
+) -> (f64, pilot_query::QueryTables, u64) {
     let mut sm = ShardedMaterializer::bootstrap(Arc::clone(broker), topic, shards)
         // lint: allow(panic, reason = "the topic was created by this experiment on a fresh broker")
         .expect("bootstrap shard set");
@@ -328,18 +329,21 @@ fn timed_shard_fold(
         }
     });
     let wall = clock.elapsed().as_secs_f64();
-    (wall, sm.service().merged())
+    let copies = sm.shards().iter().map(|m| m.tables().chunk_copies()).sum();
+    (wall, sm.service().merged(), copies)
 }
 
 /// QP-2: read-plane scaling — fold throughput vs shard count, compacted vs
 /// full-history bootstrap, and delta-push latency vs poll staleness.
 ///
-/// Floors asserted per run: 4-shard fold throughput ≥ 2× single-shard (the
-/// win is mostly publication cost — each shard clones 1/Nth the rows at
-/// 1/Nth the cadence — so it holds even on one core); every merged digest
-/// bit-identical to the unsharded fold; compacted bootstrap ≥ 5× faster at a
-/// 100× event-to-entity ratio with `applied + superseded` accounting for
-/// every appended event; delta-push p99 latency bounded under 1 s.
+/// Asserted per run: publication cost independent of table size — the row
+/// chunks every fold copies (copy-on-write after each publish) number at
+/// most the events it applied; every merged digest bit-identical to the
+/// unsharded fold; compacted bootstrap ≥ 5× faster at a 100×
+/// event-to-entity ratio with `applied + superseded` accounting for every
+/// appended event; delta-push p99 latency bounded under 1 s. The 4-shard
+/// over 1-shard fold throughput is printed, not asserted: with publication
+/// O(touched rows), sharding pays only through free cores.
 pub fn run_qp2(quick: bool) -> String {
     let mut out = String::new();
 
@@ -365,6 +369,11 @@ pub fn run_qp2(quick: bool) -> String {
         // lint: allow(panic, reason = "broker and topic are alive for the whole run")
         .expect("reference drain");
     let want_digest = reference.tables().digest();
+    let ref_copies = reference.tables().chunk_copies();
+    assert!(
+        ref_copies <= reference.tables().events_applied,
+        "publication must copy at most one row chunk per applied event, copied {ref_copies}"
+    );
 
     let spec = ExperimentSpec::new(
         "QP-2a fold throughput vs shard count",
@@ -378,21 +387,22 @@ pub fn run_qp2(quick: bool) -> String {
         let shards = trial.param_usize("shards");
         // Best of two folds: the second run damps allocator warm-up noise.
         let mut wall = f64::MAX;
-        let mut merged = None;
+        let mut copies = 0;
         for _ in 0..2 {
-            let (w, m) = timed_shard_fold(&broker, "qp2.fold", shards, publish_every);
-            if w < wall {
-                wall = w;
-            }
-            merged = Some(m);
+            let (w, merged, c) = timed_shard_fold(&broker, "qp2.fold", shards, publish_every);
+            wall = wall.min(w);
+            copies = c;
+            assert_eq!(
+                merged.digest(),
+                want_digest,
+                "merged {shards}-shard digest must be bit-identical to the single fold"
+            );
+            assert!(
+                c <= merged.events_applied,
+                "{shards}-shard fold copied {c} row chunks for {} events: publication cost grew with table size",
+                merged.events_applied
+            );
         }
-        // lint: allow(panic, reason = "the loop above always runs and sets merged")
-        let merged = merged.expect("two folds ran");
-        assert_eq!(
-            merged.digest(),
-            want_digest,
-            "merged {shards}-shard digest must be bit-identical to the single fold"
-        );
         let events_s = total / wall.max(1e-9);
         tp_by_shards.push((shards, events_s));
         table.push(
@@ -400,6 +410,8 @@ pub fn run_qp2(quick: bool) -> String {
             vec![
                 ("wall_ms".into(), wall * 1e3),
                 ("events_per_s".into(), events_s),
+                ("chunk_copies".into(), copies as f64),
+                ("copies_per_event".into(), copies as f64 / total),
             ],
         );
     }
@@ -414,14 +426,10 @@ pub fn run_qp2(quick: bool) -> String {
         .map(|(_, t)| *t)
         .unwrap_or(0.0);
     let scaling = tp4 / tp1.max(1e-9);
-    let floor = if quick { 1.4 } else { 2.0 };
-    assert!(
-        scaling >= floor,
-        "4-shard fold must be >= {floor}x single-shard throughput, got {scaling:.2}x"
-    );
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     out.push_str(&table.to_markdown());
     out.push_str(&format!(
-        "4-shard over 1-shard fold throughput: {scaling:.1}× (floor {floor}×); every merged digest == unsharded fold digest\n"
+        "4-shard over 1-shard fold throughput: {scaling:.1}× on {cpus} CPU(s) (not asserted: sharding pays only through free cores); row chunks copied ≤ events applied and merged digest == unsharded fold digest on every fold\n"
     ));
 
     // ---- Part B: bootstrap cost, compacted vs full history --------------
@@ -606,11 +614,12 @@ mod tests {
 
     #[test]
     fn qp2_quick_holds_scaling_compaction_and_push_floors() {
-        // Shard-scaling, compacted-bootstrap, digest-identity, and push
-        // latency floors are asserted inside run_qp2; surviving the call in
-        // quick mode is the regression check CI runs.
+        // The chunk-copy bound, compacted-bootstrap, digest-identity, and
+        // push latency floors are asserted inside run_qp2; surviving the call
+        // in quick mode is the regression check CI runs.
         let report = super::run_qp2(true);
         assert!(report.contains("events_per_s"));
+        assert!(report.contains("chunk_copies"));
         assert!(report.contains("compact_ms"));
         assert!(report.contains("delta push"));
     }

@@ -18,11 +18,12 @@
 //! digest equality under arbitrary interleavings, shard counts, publish
 //! cadences, and kill schedules.
 //!
-//! Why shard a fold that is already cheap? Publication. A materializer
-//! clones its whole table set every `publish_every` events; with U entities
-//! that is O(U) per publish. N shards each clone U/N rows at 1/N the
-//! per-shard event rate — total publication work drops by ~N², and the fold
-//! pipeline stops being serialized behind one clone even on a single core.
+//! Why shard a fold that is already cheap? Cores. A publish copies only the
+//! row chunks written since the previous one (the tables are copy-on-write),
+//! so a shard's cost is proportional to its share of the events, not to the
+//! table size: N shards on N free cores fold up to N× the events per
+//! second. On one core sharding buys no throughput, only independent
+//! restarts.
 
 use crate::delta::DeltaSubscription;
 use crate::materializer::Materializer;

@@ -4,8 +4,16 @@
 //! the projection topic into: a unit-status table, a per-pilot capacity /
 //! utilization table, and a pre-aggregated experiment [`Dashboard`]. Tables
 //! are plain values — the materializer mutates a private working copy and
-//! publishes immutable clones through a [`crate::SnapshotCell`], so readers
+//! publishes clones of it through a [`crate::SnapshotCell`], so readers
 //! never contend with the fold.
+//!
+//! The unit and pilot tables are structurally shared: rows live in
+//! 64-row chunks, grouped 64 to a node, all behind `Arc`s. A clone bumps
+//! one refcount per node (4096 ids), and a write copies only its own node
+//! and chunk, and only when a published snapshot still holds them.
+//! Publishing therefore costs O(rows touched since the last publish), not
+//! O(rows ever seen), so the fold does not slow down as a run's history
+//! grows.
 //!
 //! Every table write goes through `publish` (the unchecked mirror-store from
 //! `pilot-core::state`): projections *copy* states the authoritative machine
@@ -26,6 +34,7 @@ use pilot_core::events::{
 use pilot_core::ids::{PilotId, UnitId};
 use pilot_core::state::{PilotState, UnitState};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Latest observed status of one compute unit.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -268,12 +277,118 @@ impl ContinuityToken {
     }
 }
 
+/// log2 of the row slots per chunk, and of the chunk slots per node.
+const BITS: u32 = 6;
+/// Row slots per chunk: 64 unit rows are ≈3.5 KB, the most one write copies.
+const WIDTH: usize = 1 << BITS;
+const MASK: u64 = WIDTH as u64 - 1;
+
+type Chunk<V> = [Option<V>; WIDTH];
+type Node<V> = [Option<Arc<Chunk<V>>>; WIDTH];
+
+/// Copy-on-write ordered map from `u64` ids to rows: an ordered outer map
+/// from `id >> 12` to shared nodes of 64 shared chunks of 64 row slots.
+/// Cloning bumps one refcount per node; a write copies its node (64
+/// pointers) and its chunk only if a clone still holds them
+/// (`Arc::make_mut`). Ids are dense counters, so rows pack into few chunks,
+/// the writes between two publications touch one or two of them, and a
+/// clone touches one refcount per 4096 ids. (With chunks alone, one
+/// refcount per 64 ids, the clone was again the largest fold cost at 50 k
+/// rows: the refcounts sit on as many cache lines.)
+///
+/// Nodes and chunks are only created by inserts and rows are never
+/// removed, so none is ever empty; equality and `Debug` still go through
+/// the rows, never the layout.
+#[derive(Clone)]
+struct CowMap<V: Copy> {
+    nodes: BTreeMap<u64, Arc<Node<V>>>,
+    len: usize,
+    /// Row chunks copied because a write found them shared: the cost of
+    /// publishing, in chunk copies. A node is only ever copied together
+    /// with one of its chunks, so this bounds node copies too.
+    copies: u64,
+}
+
+impl<V: Copy> Default for CowMap<V> {
+    fn default() -> Self {
+        CowMap {
+            nodes: BTreeMap::new(),
+            len: 0,
+            copies: 0,
+        }
+    }
+}
+
+impl<V: Copy> CowMap<V> {
+    fn get(&self, id: u64) -> Option<&V> {
+        let node = self.nodes.get(&(id >> (2 * BITS)))?;
+        node[(id >> BITS & MASK) as usize].as_ref()?[(id & MASK) as usize].as_ref()
+    }
+
+    /// The row for `id`, inserting `init()` first if there is none. Copies
+    /// the row's node and chunk if a clone shares them.
+    fn get_or_insert_with(&mut self, id: u64, init: impl FnOnce() -> V) -> &mut V {
+        let node = self
+            .nodes
+            .entry(id >> (2 * BITS))
+            .or_insert_with(|| Arc::new(std::array::from_fn(|_| None)));
+        let chunk = Arc::make_mut(node)[(id >> BITS & MASK) as usize]
+            .get_or_insert_with(|| Arc::new([None; WIDTH]));
+        // No `Weak` ever points at a chunk, so a second strong reference is
+        // exactly what makes `make_mut` copy.
+        if Arc::strong_count(chunk) > 1 {
+            self.copies += 1;
+        }
+        let slot = &mut Arc::make_mut(chunk)[(id & MASK) as usize];
+        if slot.is_none() {
+            self.len += 1;
+        }
+        slot.get_or_insert_with(init)
+    }
+
+    fn insert(&mut self, id: u64, row: V) {
+        *self.get_or_insert_with(id, || row) = row;
+    }
+
+    /// Rows in id order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.nodes.iter().flat_map(|(&hi, node)| {
+            node.iter().enumerate().flat_map(move |(mid, chunk)| {
+                chunk
+                    .iter()
+                    .flat_map(|c| c.iter())
+                    .enumerate()
+                    .filter_map(move |(lo, row)| {
+                        let id = (hi << (2 * BITS)) | (mid as u64) << BITS | lo as u64;
+                        row.as_ref().map(|r| (id, r))
+                    })
+            })
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
+impl<V: Copy + PartialEq> PartialEq for CowMap<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl<V: Copy + std::fmt::Debug> std::fmt::Debug for CowMap<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// The full materialized projection: unit table, pilot table, dashboard,
 /// plus the continuity bookkeeping that makes restart exactly-once.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct QueryTables {
-    units: BTreeMap<u64, UnitRow>,
-    pilots: BTreeMap<u64, PilotRow>,
+    units: CowMap<UnitRow>,
+    pilots: CowMap<PilotRow>,
     dashboard: Dashboard,
     /// Next offset to fetch, per partition (the fold position).
     pub offsets: Vec<u64>,
@@ -287,8 +402,8 @@ impl QueryTables {
     /// Empty tables positioned at offset 0 of `partitions` partitions.
     pub fn new(partitions: usize) -> Self {
         QueryTables {
-            units: BTreeMap::new(),
-            pilots: BTreeMap::new(),
+            units: CowMap::default(),
+            pilots: CowMap::default(),
             dashboard: Dashboard::new(),
             offsets: vec![0; partitions],
             events_applied: 0,
@@ -305,7 +420,7 @@ impl QueryTables {
                 // of its current state. New rows enter the `New` bucket, then
                 // every transition moves one count prev -> next.
                 let pilots_by_state = &mut self.dashboard.pilots_by_state;
-                let row = self.pilots.entry(pilot.0).or_insert_with(|| {
+                let row = self.pilots.get_or_insert_with(pilot.0, || {
                     pilots_by_state[pilot_state_code(PilotState::New) as usize] += 1;
                     PilotRow {
                         state: PilotState::New,
@@ -348,7 +463,7 @@ impl QueryTables {
                 t_s,
             } => {
                 let pilots_by_state = &mut self.dashboard.pilots_by_state;
-                let row = self.pilots.entry(pilot.0).or_insert_with(|| {
+                let row = self.pilots.get_or_insert_with(pilot.0, || {
                     pilots_by_state[pilot_state_code(PilotState::New) as usize] += 1;
                     PilotRow {
                         state: PilotState::New,
@@ -380,7 +495,7 @@ impl QueryTables {
                 t_s,
             } => {
                 let units_by_state = &mut self.dashboard.units_by_state;
-                let row = self.units.entry(unit.0).or_insert_with(|| {
+                let row = self.units.get_or_insert_with(unit.0, || {
                     units_by_state[unit_state_code(UnitState::New) as usize] += 1;
                     UnitRow {
                         state: UnitState::New,
@@ -417,7 +532,7 @@ impl QueryTables {
                 // event per unit, so its fold lands on the same row and the
                 // same sums as the full history.
                 let units_by_state = &mut self.dashboard.units_by_state;
-                let row = self.units.entry(unit.0).or_insert_with(|| {
+                let row = self.units.get_or_insert_with(unit.0, || {
                     units_by_state[unit_state_code(UnitState::New) as usize] += 1;
                     UnitRow {
                         state: UnitState::New,
@@ -456,22 +571,22 @@ impl QueryTables {
 
     /// Latest state of a unit, if any event for it has been observed.
     pub fn unit(&self, id: UnitId) -> Option<&UnitRow> {
-        self.units.get(&id.0)
+        self.units.get(id.0)
     }
 
     /// Latest state + capacity of a pilot.
     pub fn pilot(&self, id: PilotId) -> Option<&PilotRow> {
-        self.pilots.get(&id.0)
+        self.pilots.get(id.0)
     }
 
     /// The unit table, ordered by id.
     pub fn units(&self) -> impl Iterator<Item = (UnitId, &UnitRow)> {
-        self.units.iter().map(|(&k, v)| (UnitId(k), v))
+        self.units.iter().map(|(k, v)| (UnitId(k), v))
     }
 
     /// The pilot table, ordered by id.
     pub fn pilots(&self) -> impl Iterator<Item = (PilotId, &PilotRow)> {
-        self.pilots.iter().map(|(&k, v)| (PilotId(k), v))
+        self.pilots.iter().map(|(k, v)| (PilotId(k), v))
     }
 
     /// Number of known units.
@@ -482,6 +597,15 @@ impl QueryTables {
     /// Number of known pilots.
     pub fn pilot_count(&self) -> usize {
         self.pilots.len()
+    }
+
+    /// Row chunks this table set has copied because a clone (a published
+    /// snapshot) still shared them: the whole row-copying cost of
+    /// publication so far. At most one per applied event, whatever the
+    /// table size. Instrumentation for tests and experiments.
+    #[doc(hidden)]
+    pub fn chunk_copies(&self) -> u64 {
+        self.units.copies + self.pilots.copies
     }
 
     /// The pre-aggregated dashboard.
@@ -525,7 +649,7 @@ impl QueryTables {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        for (id, r) in &self.units {
+        for (id, r) in self.units.iter() {
             mix(&id.to_le_bytes());
             mix(&[unit_state_code(r.state)]);
             match r.pilot {
@@ -540,7 +664,7 @@ impl QueryTables {
             mix(&r.exec_ns.to_le_bytes());
             mix(&[r.has_metric as u8]);
         }
-        for (id, r) in &self.pilots {
+        for (id, r) in self.pilots.iter() {
             mix(&id.to_le_bytes());
             mix(&[pilot_state_code(r.state)]);
             mix(&r.free_cores.to_le_bytes());
@@ -583,11 +707,11 @@ impl QueryTables {
     pub fn merge(parts: &[&QueryTables], partition_owner: &[usize]) -> QueryTables {
         let mut out = QueryTables::new(partition_owner.len());
         for t in parts {
-            for (id, r) in &t.units {
-                out.units.insert(*id, *r);
+            for (id, r) in t.units.iter() {
+                out.units.insert(id, *r);
             }
-            for (id, r) in &t.pilots {
-                out.pilots.insert(*id, *r);
+            for (id, r) in t.pilots.iter() {
+                out.pilots.insert(id, *r);
             }
             out.dashboard.absorb(&t.dashboard);
             out.events_applied += t.events_applied;
@@ -846,6 +970,90 @@ mod tests {
         let mut d = a.clone();
         d.offsets[1] = 17; // fold position IS part of the digest
         assert_ne!(a.digest(), d.digest());
+    }
+
+    #[test]
+    fn snapshot_keeps_its_digest_and_shares_untouched_chunks() {
+        let mut t = QueryTables::new(1);
+        for u in 0..200 {
+            t.apply(&unit_ev(u, UnitState::Pending, None, 0.0));
+        }
+        let snap = Arc::new(t.clone());
+        let want = snap.digest();
+        // Ids 0..200 fill chunks 0..4 of node 0.
+        let chunk = |t: &QueryTables, mid: usize| {
+            Arc::clone(t.units.nodes[&0][mid].as_ref().expect("chunk"))
+        };
+        let shared = |a: &QueryTables, b: &QueryTables, mid: usize| {
+            Arc::ptr_eq(&chunk(a, mid), &chunk(b, mid))
+        };
+        assert_eq!(t.units.nodes.len(), 1);
+        assert!(Arc::ptr_eq(&snap.units.nodes[&0], &t.units.nodes[&0]));
+        assert!(
+            (0..4).all(|mid| shared(&snap, &t, mid)),
+            "a clone copies no rows"
+        );
+        let before = t.chunk_copies();
+
+        t.apply(&unit_ev(70, UnitState::Running, Some(1), 1.0));
+        assert_eq!(t.chunk_copies(), before + 1, "first write copies its chunk");
+        t.apply(&unit_ev(71, UnitState::Running, Some(1), 1.1));
+        assert_eq!(t.chunk_copies(), before + 1, "the copy is now private");
+        t.apply(&unit_ev(5000, UnitState::Pending, None, 1.2));
+        assert_eq!(t.chunk_copies(), before + 1, "a new chunk is not a copy");
+        assert!(!shared(&snap, &t, 1));
+        assert!([0, 2, 3].iter().all(|&mid| shared(&snap, &t, mid)));
+
+        assert_eq!(snap.digest(), want, "the snapshot never sees later writes");
+        assert_eq!(
+            snap.unit(UnitId(70)).map(|r| r.state),
+            Some(UnitState::Pending)
+        );
+        assert_eq!(snap.unit(UnitId(5000)), None);
+        assert_eq!(snap.unit_count(), 200);
+        assert_eq!(
+            t.unit(UnitId(70)).map(|r| r.state),
+            Some(UnitState::Running)
+        );
+        assert_eq!(t.unit_count(), 201);
+        assert_ne!(t.digest(), want);
+    }
+
+    #[test]
+    fn rows_iterate_in_id_order_and_compare_by_content() {
+        let row = |id: u64| PilotRow {
+            state: PilotState::Active,
+            free_cores: id as u32,
+            total_cores: 64,
+            event_t_s: 0.0,
+        };
+        let ids: Vec<u64> = (0..150)
+            .step_by(3)
+            .chain([5000, 63, 64, 4095, 4096])
+            .collect();
+        let mut map = CowMap::default();
+        let mut model = BTreeMap::new();
+        for &id in &ids {
+            map.insert(id, row(id));
+            model.insert(id, row(id));
+        }
+        map.insert(63, row(7));
+        model.insert(63, row(7));
+        assert_eq!(map.len(), model.len());
+        assert!(map.iter().map(|(k, v)| (k, *v)).eq(model.into_iter()));
+        assert_eq!(map.get(64).map(|r| r.free_cores), Some(64));
+        assert_eq!(map.get(65), None);
+        assert_eq!(map.get(1 << 40), None);
+        // Equality and `Debug` go through the rows: the same rows inserted in
+        // another order (hence other copies and counters) are equal.
+        let mut rebuilt = CowMap::default();
+        for (k, v) in map.iter().collect::<Vec<_>>().into_iter().rev() {
+            rebuilt.insert(k, *v);
+        }
+        let _shared = rebuilt.clone();
+        rebuilt.insert(5000, row(5000));
+        assert_eq!(rebuilt, map);
+        assert_eq!(format!("{rebuilt:?}"), format!("{map:?}"));
     }
 
     #[test]

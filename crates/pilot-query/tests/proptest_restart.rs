@@ -21,11 +21,17 @@
 //! single-shard fold — under arbitrary partition interleavings, shard
 //! counts, publish cadences, and asymmetric per-shard kill schedules.
 
+//! A third property covers the copy-on-write row tables that make a publish
+//! cheap: tables cloned at arbitrary points of a fold (as `publish` does)
+//! must keep exactly the rows a plain `BTreeMap` model held at that point,
+//! however the fold writes to the shared chunks afterwards.
+
 use pilot_core::events::{pilot_state_from_code, unit_state_from_code, ProjEvent};
 use pilot_core::ids::{PilotId, UnitId};
-use pilot_query::{BrokerSink, Materializer, QueryTables, ShardedMaterializer};
+use pilot_query::{BrokerSink, Materializer, PilotRow, QueryTables, ShardedMaterializer, UnitRow};
 use pilot_streaming::Broker;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Generator-side event description: `(kind, id, code, pilot, a, b)`. The
@@ -65,6 +71,44 @@ fn build_events(raw: &[RawEv]) -> Vec<ProjEvent> {
                     unit: UnitId(id % 40),
                     wait_s: a as f64 / 100.0,
                     exec_s: b as f64 / 100.0,
+                    t_s,
+                },
+            }
+        })
+        .collect()
+}
+
+/// Unit id for a raw generator id: mostly a dense range straddling a chunk
+/// boundary (rows get rewritten), some sparse ids, a few far-away ones.
+fn spread_unit_id(id: u64) -> u64 {
+    match id % 5 {
+        0 => id,
+        1 if id % 7 == 1 => id << 40,
+        _ => id % 70,
+    }
+}
+
+fn spread_events(raw: &[RawEv]) -> Vec<ProjEvent> {
+    raw.iter()
+        .enumerate()
+        .map(|(i, &(kind, id, code, pilot, a, b))| {
+            let t_s = i as f64 * 0.01;
+            match kind % 3 {
+                0 => ProjEvent::Unit {
+                    unit: UnitId(spread_unit_id(id)),
+                    state: unit_state_from_code(1 + code % 7).expect("unit code in range"),
+                    pilot: pilot.map(PilotId),
+                    t_s,
+                },
+                1 => ProjEvent::UnitMetric {
+                    unit: UnitId(spread_unit_id(id)),
+                    wait_s: a as f64 / 100.0,
+                    exec_s: b as f64 / 100.0,
+                    t_s,
+                },
+                _ => ProjEvent::Pilot {
+                    pilot: PilotId(id % 130),
+                    state: pilot_state_from_code(1 + code % 5).expect("pilot code in range"),
                     t_s,
                 },
             }
@@ -192,5 +236,48 @@ proptest! {
         prop_assert_eq!(merged.digest(), want_digest, "merged projection diverged");
         prop_assert_eq!(last.lag().unwrap(), 0);
         prop_assert_eq!(last.events_lost(), 0);
+    }
+
+    #[test]
+    fn clones_keep_the_rows_of_their_moment(
+        gens in proptest::collection::vec(
+            (0u8..3, 0u64..2000, 0u8..8, proptest::option::of(0u64..6), 0u32..500, 0u32..500),
+            1..300,
+        ),
+        clone_points in proptest::collection::vec(0usize..300, 0..12),
+    ) {
+        let events = spread_events(&gens);
+        let mut tables = QueryTables::new(1);
+        let mut units: BTreeMap<u64, UnitRow> = BTreeMap::new();
+        let mut pilots: BTreeMap<u64, PilotRow> = BTreeMap::new();
+        // (clone, unit model, pilot model, digest) as of each clone point.
+        let mut clones = Vec::new();
+        for (i, ev) in events.iter().enumerate() {
+            tables.apply(ev);
+            match *ev {
+                ProjEvent::Unit { unit, .. } | ProjEvent::UnitMetric { unit, .. } => {
+                    units.insert(unit.0, *tables.unit(unit).unwrap());
+                }
+                ProjEvent::Pilot { pilot, .. } | ProjEvent::PilotCapacity { pilot, .. } => {
+                    pilots.insert(pilot.0, *tables.pilot(pilot).unwrap());
+                }
+            }
+            if clone_points.contains(&i) {
+                let snap = tables.clone();
+                let digest = snap.digest();
+                clones.push((snap, units.clone(), pilots.clone(), digest));
+            }
+        }
+        prop_assert!(tables.chunk_copies() <= tables.events_applied);
+        clones.push((tables.clone(), units, pilots, tables.digest()));
+        for (snap, units, pilots, digest) in &clones {
+            prop_assert_eq!(snap.unit_count(), units.len());
+            prop_assert_eq!(snap.pilot_count(), pilots.len());
+            let snap_units = snap.units().map(|(id, r)| (id.0, *r));
+            prop_assert!(snap_units.eq(units.iter().map(|(k, v)| (*k, *v))));
+            let snap_pilots = snap.pilots().map(|(id, r)| (id.0, *r));
+            prop_assert!(snap_pilots.eq(pilots.iter().map(|(k, v)| (*k, *v))));
+            prop_assert_eq!(snap.digest(), *digest);
+        }
     }
 }
